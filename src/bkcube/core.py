@@ -135,6 +135,16 @@ def integer_partitions(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_partitions(d, d))
 
 
+@functools.lru_cache(maxsize=None)
+def partition_count(d: int) -> int:
+    """p(d), the number of partitions of d, counted without enumerating."""
+    counts = [1] + [0] * d
+    for part in range(1, d + 1):
+        for m in range(part, d + 1):
+            counts[m] += counts[m - part]
+    return counts[d]
+
+
 class Mode(str, Enum):
     """Which family of degrees a profile carries."""
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Sequence
 
 from .core import Degree, Mode, Profile, check_r
 from .rules import (
     Candidate,
+    DegreeTable,
     RuleOutcome,
     dual_hbm_cocartesian,
     fiber_transfer,
@@ -78,6 +79,10 @@ class Derivation:
     steps: tuple[IterationStep, ...]
     stabilized_at: int | None
 
+    def __hash__(self) -> int:
+        # equal derivations agree on these; hashing the steps too would cost a walk of the trace
+        return hash((self.label, self.initial, self.r, len(self.steps), self.stabilized_at))
+
 
 def _require_mode(p: Profile, mode: Mode, op: str) -> None:
     if p.dim >= 2 and p.mode is not mode:
@@ -106,52 +111,34 @@ def loop(p: Profile, r: int = 1) -> Profile:
     return p.shifted(-r) if r else p
 
 
-def _dualize(p: Profile) -> tuple[Profile, tuple[RuleOutcome, ...]]:
-    _require_mode(p, Mode.CARTESIAN, "dualize")
+def _per_dimension(p: Profile, transform: str) -> tuple[Profile, tuple[RuleOutcome, ...]]:
+    """dualize, cartesianize or stabilize: the other mode's degrees 2..dim,
+    one rule outcome each.  The rules all read one DegreeTable of the
+    profile, so the partition minima come from one knapsack table."""
+    mode = Mode.CARTESIAN if transform == "dualize" else Mode.COCARTESIAN
+    _require_mode(p, mode, transform)
     if p.dim == 1:
-        return p.with_mode(Mode.COCARTESIAN), ()
-    outcomes = []
-    degrees = {}
-    for d in range(2, p.dim + 1):
-        out = dual_hbm_cocartesian(d, p.conn1, {s: p.degree(s) for s in range(2, d + 1)})
-        outcomes.append(out)
-        degrees[d] = out.result
-    return Profile(p.dim, p.conn1, Mode.COCARTESIAN, degrees), tuple(outcomes)
+        return p.with_mode(mode.dual), ()
+    rules = {"dualize": dual_hbm_cocartesian, "cartesianize": hbm_cartesian, "stabilize": _stable_shift}
+    table = DegreeTable((p.conn1, *p.degrees))
+    outcomes = tuple(rules[transform](d, p.conn1, table) for d in range(2, p.dim + 1))
+    return Profile(p.dim, p.conn1, mode.dual, {o.dim: o.result for o in outcomes}), outcomes
 
 
 def _cartesianize(p: Profile) -> tuple[Profile, tuple[RuleOutcome, ...]]:
-    _require_mode(p, Mode.COCARTESIAN, "cartesianize")
-    if p.dim == 1:
-        return p.with_mode(Mode.CARTESIAN), ()
-    outcomes = []
-    degrees = {}
-    for d in range(2, p.dim + 1):
-        out = hbm_cartesian(d, p.conn1, {s: p.degree(s) for s in range(2, d + 1)})
-        outcomes.append(out)
-        degrees[d] = out.result
-    return Profile(p.dim, p.conn1, Mode.CARTESIAN, degrees), tuple(outcomes)
+    return _per_dimension(p, "cartesianize")
 
 
-def _stabilize(p: Profile) -> tuple[Profile, tuple[RuleOutcome, ...]]:
-    _require_mode(p, Mode.COCARTESIAN, "stabilize")
-    if p.dim == 1:
-        return p.with_mode(Mode.CARTESIAN), ()
-    outcomes = []
-    degrees = {}
-    for d in range(2, p.dim + 1):
-        value = stable_cart_from_cocart(d, p.degree(d))
-        cand = Candidate(
-            value=value, label="stable shift", terms=(p.degree(d), Degree(1 - d))
-        )
-        outcomes.append(RuleOutcome("stable_shift", d, (cand,), value))
-        degrees[d] = value
-    return Profile(p.dim, p.conn1, Mode.CARTESIAN, degrees), tuple(outcomes)
+def _stable_shift(d: int, conn1: Degree, cocart: DegreeTable) -> RuleOutcome:
+    value = stable_cart_from_cocart(d, cocart[d])
+    cand = Candidate(value=value, label="stable shift", terms=(cocart[d], Degree(1 - d)))
+    return RuleOutcome("stable_shift", d, (cand,), value)
 
 
 def dualize(p: Profile) -> Profile:
     """Cocartesian degrees of a cartesian profile, one dual minimisation
     per dimension."""
-    return _dualize(p)[0]
+    return _per_dimension(p, "dualize")[0]
 
 
 def cartesianize(p: Profile) -> Profile:
@@ -163,7 +150,7 @@ def cartesianize(p: Profile) -> Profile:
 def stabilize_spectra(p: Profile) -> Profile:
     """Stable (r = inf) passage: cartesian degree d reads the cocartesian
     one shifted down by d - 1; conn1 is untouched."""
-    return _stabilize(p)[0]
+    return _per_dimension(p, "stabilize")[0]
 
 
 def omega_sigma_step(
@@ -186,15 +173,12 @@ def omega_sigma_step(
     if first_step:
         _require_mode(current, Mode.COCARTESIAN, "first step")
     else:
-        out, oc = _dualize(current)
-        current = record("dualize", None, out, oc)
+        current = record("dualize", None, *_per_dimension(current, "dualize"))
     if r == math.inf:
-        out, oc = _stabilize(current)
-        current = record("stabilize", None, out, oc)
+        current = record("stabilize", None, *_per_dimension(current, "stabilize"))
     else:
         current = record("suspend", r, suspend(current, r), ())
-        out, oc = _cartesianize(current)
-        current = record("cartesianize", None, out, oc)
+        current = record("cartesianize", None, *_per_dimension(current, "cartesianize"))
         current = record("loop", r, loop(current, r), ())
     return current, tuple(records)
 
@@ -220,31 +204,29 @@ def iterate(
         raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     steps: list[IterationStep] = []
     current = p
-    stabilized = None
     for index in range(1, max_iters + 1):
         first = index == 1 and p.mode is Mode.COCARTESIAN
         nxt, records = omega_sigma_step(current, r, first_step=first)
         steps.append(IterationStep(index, records, nxt))
         if nxt == current:
-            stabilized = index
             break
         current = nxt
-    return Derivation(label, p, r, tuple(steps), stabilized)
+    return Derivation(label, p, r, tuple(steps), stabilized_at(p, steps))
 
 
-_plain: dict[str, Callable[[Profile], tuple[Profile, tuple[RuleOutcome, ...]]]] = {
-    "dualize": _dualize,
-    "cartesianize": _cartesianize,
-    "stabilize": _stabilize,
-}
+def stabilized_at(initial: Profile, steps: Sequence[IterationStep]) -> int | None:
+    """Index of the first step whose profile equals the one before it (the
+    initial profile precedes the first step), or None."""
+    befores = [initial, *(step.profile for step in steps)]
+    return next((step.index for step, before in zip(steps, befores) if step.profile == before), None)
 
 
 def apply_transform(
     p: Profile, transform: str, amount: int | float | None = None
 ) -> tuple[Profile, tuple[RuleOutcome, ...]]:
     """Apply one named transform; the vocabulary of StepRecord.transform."""
-    if transform in _plain:
-        return _plain[transform](p)
+    if transform in ("dualize", "cartesianize", "stabilize"):
+        return _per_dimension(p, transform)
     if transform == "suspend":
         return suspend(p, 1 if amount is None else amount), ()
     if transform == "loop":
@@ -265,9 +247,7 @@ def replay(derivation: Derivation) -> Derivation:
     profile.
     """
     current = derivation.initial
-    previous = derivation.initial
     steps = []
-    stabilized = None
     for step in derivation.steps:
         records = []
         for rec in step.records:
@@ -277,7 +257,5 @@ def replay(derivation: Derivation) -> Derivation:
                 current, outcomes = apply_transform(current, rec.transform, rec.amount)
             records.append(replace(rec, outcomes=tuple(outcomes), profile=current))
         steps.append(IterationStep(step.index, tuple(records), current))
-        if stabilized is None and current == previous:
-            stabilized = step.index
-        previous = current
+    stabilized = stabilized_at(derivation.initial, steps)
     return Derivation(derivation.label, derivation.initial, derivation.r, tuple(steps), stabilized)

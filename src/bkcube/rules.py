@@ -2,16 +2,18 @@
 
 Each minimisation rule returns a RuleOutcome carrying every candidate it
 weighed, so a derivation can be replayed and displayed term by term.  The
+partition rules take their minimum from one knapsack table on plain ints
+and build their candidate lists only when first read.  The
 face-relation helpers (``fr_*``) and the stable shifts return bare degrees;
 callers wanting them in a trace wrap the inputs into candidates themselves.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
-from .core import Degree, Mode, Profile, as_degree, deg_min, integer_partitions
+from .core import INF, Degree, Mode, Profile, as_degree, deg_min, integer_partitions, partition_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,22 +37,73 @@ class Candidate:
         return f"{name}: {self.value}"
 
 
+def _check_minimum(rule: str, result: Degree, expect: Degree) -> None:
+    if result != expect:
+        raise ValueError(f"{rule}: result {result} is not the candidate minimum {expect}")
+
+
+class PartitionCandidates(Sequence[Candidate]):
+    """The candidates of one partition minimisation, built on first read.
+
+    ``key`` is (d, the rule's base, the degree table c(1..d)); equality and
+    hashing go by it.  The first read enumerates the partitions of d in
+    ``integer_partitions`` order and raises ValueError unless ``result`` is
+    their minimum; ``len`` counts them without enumerating.
+    """
+
+    __slots__ = ("rule", "key", "result", "_items")
+
+    def __init__(self, rule: str, d: int, base: int, table: tuple[Degree, ...], result: Degree):
+        self.rule, self.key, self.result, self._items = rule, (d, base, table), result, None
+
+    def _read(self) -> tuple[Candidate, ...]:
+        if self._items is None:
+            d, plain_base, table = self.key
+            base, items, low = Degree(plain_base), [], None
+            costs = [c.value for c in table]
+            for blocks in integer_partitions(d):
+                parts, value = [costs[s - 1] for s in blocks], INF
+                if None not in parts:
+                    total = plain_base + sum(parts)
+                    value, low = Degree(total), total if low is None else min(low, total)
+                items.append(Candidate(value, blocks, None, (base, *[table[s - 1] for s in blocks])))
+            _check_minimum(self.rule, self.result, INF if low is None else Degree(low))
+            self._items = tuple(items)
+        return self._items
+
+    def __len__(self) -> int:
+        return partition_count(self.key[0])
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return iter(self._read())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PartitionCandidates) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
 @dataclass(frozen=True, slots=True)
 class RuleOutcome:
-    """A rule application: its candidates and the minimum it settled on."""
+    """A rule application: its candidates and the minimum it settled on.
+    Partition candidates check the minimum when first read, others here."""
 
     rule: str
     dim: int
-    candidates: tuple[Candidate, ...]
+    candidates: Sequence[Candidate]
     result: Degree
 
     def __post_init__(self) -> None:
-        if self.candidates:
-            expect = deg_min([c.value for c in self.candidates])
-            if self.result != expect:
-                raise ValueError(
-                    f"{self.rule}: result {self.result} is not the candidate minimum {expect}"
-                )
+        cands = self.candidates
+        if isinstance(cands, PartitionCandidates):
+            if (cands.rule, cands.result) != (self.rule, self.result):
+                object.__setattr__(self, "candidates", PartitionCandidates(self.rule, *cands.key, self.result))
+        elif cands:
+            _check_minimum(self.rule, self.result, deg_min([c.value for c in cands]))
 
     def describe(self) -> str:
         if not self.candidates:
@@ -59,56 +112,69 @@ class RuleOutcome:
         return f"{self.rule} d={self.dim}: minimum of {listing} => {self.result}"
 
 
-def _minimised(rule: str, dim: int, candidates: Iterable[Candidate]) -> RuleOutcome:
-    candidates = tuple(candidates)
-    return RuleOutcome(rule, dim, candidates, deg_min([c.value for c in candidates]))
+class DegreeTable(Mapping[int, Degree]):
+    """One profile's degrees c(1) = conn1 and c(s), s = 2..n, read as the
+    mapping of s >= 2.  Its knapsack minima for every d <= n are built once,
+    on first use, so the partition rules at every d share one O(n^2) table."""
+
+    __slots__ = ("costs", "_best")
+
+    def __init__(self, costs: tuple[Degree, ...]) -> None:
+        self.costs, self._best = costs, None
+
+    def __getitem__(self, s: int) -> Degree:
+        if not 2 <= s <= len(self.costs):
+            raise KeyError(s)
+        return self.costs[s - 1]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(2, len(self.costs) + 1))
+
+    def __len__(self) -> int:
+        return len(self.costs) - 1
+
+    def best(self, d: int) -> int | None:
+        """min over the partitions of d of the sum of c(block); None is
+        infinite.  The first call fills best[m] = min_s c(s) + best[m - s]."""
+        if self._best is None:
+            costs, best = [c.value for c in self.costs], [0]
+            for _ in costs:  # pairs c(s) with best[m - s] for s = 1..m
+                sums = [c + r for c, r in zip(costs, reversed(best)) if c is not None and r is not None]
+                best.append(min(sums, default=None))
+            self._best = best
+        return self._best[d]
 
 
-def _degree_table(
-    d: int, conn1: Degree | int, by_dim: Mapping[int, Degree | int], what: str
-) -> dict[int, Degree]:
-    table = {1: as_degree(conn1)}
-    for s in range(2, d + 1):
-        if s not in by_dim:
-            raise ValueError(f"missing {what} degree for dimension {s}")
-        table[s] = as_degree(by_dim[s])
-    return table
-
-
-def _partition_minimum(rule: str, d: int, base: int, table: dict[int, Degree]) -> RuleOutcome:
-    candidates = []
-    for blocks in integer_partitions(d):
-        value = Degree(base)
-        terms = [value]
-        for s in blocks:
-            terms.append(table[s])
-            value = value + table[s]
-        candidates.append(Candidate(value=value, blocks=blocks, terms=tuple(terms)))
-    return _minimised(rule, d, candidates)
-
-
-def hbm_cartesian(
-    d: int, conn1: Degree | int, cocart: Mapping[int, Degree | int]
+def _partition_rule(
+    rule: str, d: int, base: int, conn1: Degree | int, by_dim: Mapping[int, Degree | int], what: str
 ) -> RuleOutcome:
+    if d < 2:
+        raise ValueError(f"{rule} needs d >= 2, got {d}")
+    table = by_dim
+    if not (isinstance(table, DegreeTable) and d <= len(table.costs) and table.costs[0] == conn1):
+        for s in range(2, d + 1):
+            if s not in by_dim:
+                raise ValueError(f"missing {what} degree for dimension {s}")
+        table = DegreeTable((as_degree(conn1), *(as_degree(by_dim[s]) for s in range(2, d + 1))))
+    low = table.best(d)
+    result = INF if low is None else Degree(base + low)
+    return RuleOutcome(rule, d, PartitionCandidates(rule, d, base, table.costs[:d], result), result)
+
+
+def hbm_cartesian(d: int, conn1: Degree | int, cocart: Mapping[int, Degree | int]) -> RuleOutcome:
     """Cartesian degree of a d-cube from cocartesian data (higher
     Blakers-Massey shape).
 
     Minimises 1 - d + sum of c(s) over the integer partitions of d, with
     c(1) = conn1 and c(s) = cocart[s] for larger blocks.
     """
-    if d < 2:
-        raise ValueError(f"hbm_cartesian needs d >= 2, got {d}")
-    return _partition_minimum("hbm_cartesian", d, 1 - d, _degree_table(d, conn1, cocart, "cocartesian"))
+    return _partition_rule("hbm_cartesian", d, 1 - d, conn1, cocart, "cocartesian")
 
 
-def dual_hbm_cocartesian(
-    d: int, conn1: Degree | int, cart: Mapping[int, Degree | int]
-) -> RuleOutcome:
+def dual_hbm_cocartesian(d: int, conn1: Degree | int, cart: Mapping[int, Degree | int]) -> RuleOutcome:
     """Cocartesian degree of a d-cube from cartesian data (dual shape):
     minimises d - 1 + sum of c(s) over the integer partitions of d."""
-    if d < 2:
-        raise ValueError(f"dual_hbm_cocartesian needs d >= 2, got {d}")
-    return _partition_minimum("dual_hbm_cocartesian", d, d - 1, _degree_table(d, conn1, cart, "cartesian"))
+    return _partition_rule("dual_hbm_cocartesian", d, d - 1, conn1, cart, "cartesian")
 
 
 def stable_cart_from_cocart(d: int, k: Degree | int) -> Degree:

@@ -30,6 +30,7 @@ from .pipeline import (
     StepRecord,
     apply_transform,
     omega_sigma_step,
+    stabilized_at,
 )
 
 
@@ -536,15 +537,8 @@ class _Executor:
     def result(self, label: str) -> ScriptResult:
         derivation = None
         if self.initial is not None:
-            stabilized = None
-            previous = self.initial
-            for step in self.steps:
-                if stabilized is None and step.profile == previous:
-                    stabilized = step.index
-                previous = step.profile
-            derivation = Derivation(
-                label, self.initial, None, tuple(self.steps), stabilized
-            )
+            stabilized = stabilized_at(self.initial, self.steps)
+            derivation = Derivation(label, self.initial, None, tuple(self.steps), stabilized)
         return ScriptResult(
             self.current, tuple(self.asserts), tuple(self.printed), derivation
         )

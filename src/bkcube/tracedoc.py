@@ -144,20 +144,12 @@ def _verdict_json(v: Verdict) -> dict[str, Any]:
     }
 
 
-def _dedupe(derivations: Iterable[Derivation]) -> list[Derivation]:
-    seen: list[Derivation] = []
-    for d in derivations:
-        if not any(d == kept for kept in seen):
-            seen.append(d)
-    return seen
-
-
 def document(
     derivations: Iterable[Derivation], verdicts: Iterable[Verdict] | None = None
 ) -> dict[str, Any]:
     """The version-1 trace document; verdicts are included only when given."""
     steps: list[dict[str, Any]] = []
-    for derivation in _dedupe(derivations):
+    for derivation in dict.fromkeys(derivations):  # first of equal traces, in order
         for step in derivation.steps:
             for record in step.records:
                 steps.extend(_record_steps(record))
@@ -229,7 +221,7 @@ def render_markdown(
         lines.append("")
         for v in verdict_list:
             lines.extend(_verdict_lines(v))
-    trace_list = _dedupe(derivations)
+    trace_list = list(dict.fromkeys(derivations))
     if trace_list:
         lines.append("## Traces")
         lines.append("")

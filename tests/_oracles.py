@@ -42,9 +42,14 @@ def bm_min_over_set_partitions(base: Num, conn1: Num, table: dict[int, Num], d: 
     for partition in set_partitions(list(range(1, d + 1))):
         total = base
         for block in partition:
-            total += sizes[len(block)]
+            total = _add(total, sizes[len(block)])
         best = min(best, total)
     return best
+
+
+def _add(a: Num, b: Num) -> Num:
+    """Exact sum: math.inf absorbs without turning a huge int into a float."""
+    return math.inf if math.inf in (a, b) else a + b
 
 
 def hbm_oracle(d: int, conn1: Num, cocart: dict[int, Num]) -> Num:

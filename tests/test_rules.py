@@ -1,11 +1,16 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bkcube.core import INF, Degree, Mode, Profile
+from bkcube import rules
+from bkcube.core import INF, Degree, Mode, Profile, deg_min, integer_partitions
+from bkcube.pipeline import iterate, replay
 from bkcube.rules import (
     Candidate,
+    DegreeTable,
     RuleOutcome,
     compose_connectivity,
     dual_hbm_cocartesian,
@@ -213,3 +218,116 @@ def test_fiber_transfer_rejects_everything_else():
             fiber_transfer(bad, good)
     with pytest.raises(ValueError):
         fiber_transfer(good, other_dim)
+
+
+# -- the knapsack kernel against full enumeration and the set-partition oracle
+
+HUGE = 10**400
+slot_values = st.one_of(
+    st.none(),
+    st.integers(-12, 12),
+    st.integers(-HUGE, HUGE),
+    st.sampled_from([HUGE, -HUGE, HUGE + 1, 1 - HUGE]),
+)
+BASES = {"hbm_cartesian": lambda d: 1 - d, "dual_hbm_cocartesian": lambda d: d - 1}
+RULES = {"hbm_cartesian": hbm_cartesian, "dual_hbm_cocartesian": dual_hbm_cocartesian}
+ORACLES = {"hbm_cartesian": hbm_oracle, "dual_hbm_cocartesian": dual_hbm_oracle}
+
+
+def enumerated(rule: str, d: int, table: tuple[Degree, ...]) -> tuple[Candidate, ...]:
+    """The candidates as the enumerate-then-min rule built them, in Degree
+    arithmetic."""
+    out = []
+    for blocks in integer_partitions(d):
+        value = Degree(BASES[rule](d))
+        terms = [value]
+        for s in blocks:
+            terms.append(table[s - 1])
+            value = value + table[s - 1]
+        out.append(Candidate(value=value, blocks=blocks, terms=tuple(terms)))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.sampled_from(sorted(BASES)),
+    slots=st.integers(2, 8).flatmap(lambda n: st.lists(slot_values, min_size=n, max_size=n)),
+)
+def test_partition_kernel_matches_enumeration_and_oracle(rule, slots):
+    table = tuple(Degree(v) for v in slots)
+    shared = DegreeTable(table)
+    raw = [math.inf if v is None else v for v in slots]
+    for d in range(2, len(table) + 1):
+        out = RULES[rule](d, table[0], shared)
+        alone = RULES[rule](d, table[0], {s: table[s - 1] for s in range(2, d + 1)})
+        assert alone == out and alone.result == out.result
+        want = enumerated(rule, d, table)
+        assert out.result == deg_min([c.value for c in want])
+        oracle = ORACLES[rule](d, raw[0], {s: raw[s - 1] for s in range(2, d + 1)})
+        assert out.result == to_degree(oracle)
+        assert len(out.candidates) == len(want)
+        assert tuple(out.candidates) == want
+
+
+def test_shared_table_needs_matching_conn1():
+    shared = DegreeTable((Degree(1), Degree(3), INF))
+    assert dict(shared) == {2: Degree(3), 3: INF}
+    assert hbm_cartesian(3, Degree(1), shared).result == Degree(1)
+    assert hbm_cartesian(3, Degree(5), shared) == hbm_cartesian(3, Degree(5), dict(shared))
+    with pytest.raises(ValueError):
+        hbm_cartesian(4, Degree(1), shared)
+
+
+def test_corrupted_result_fails_when_candidates_are_read(monkeypatch):
+    table = {2: Degree(3), 3: INF, 4: Degree(-HUGE)}
+    out = hbm_cartesian(4, Degree(1), table)
+    bent = replace(out, result=out.result + 1)
+    assert bent.result != out.result
+    with pytest.raises(ValueError, match="is not the candidate minimum"):
+        list(bent.candidates)
+    with pytest.raises(ValueError, match="is not the candidate minimum"):
+        RuleOutcome(out.rule, 4, out.candidates, Degree(0)).candidates[0]
+    assert list(out.candidates)
+
+    def off_by_one(self, d):
+        low = best(self, d)
+        return None if low is None else low + 1
+
+    best = DegreeTable.best
+    monkeypatch.setattr(DegreeTable, "best", off_by_one)
+    wrong = hbm_cartesian(4, Degree(1), table)
+    assert wrong.result == out.result + 1
+    with pytest.raises(ValueError, match="is not the candidate minimum"):
+        wrong.describe()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from([Mode.CARTESIAN, Mode.COCARTESIAN]),
+    conn1=st.integers(-2, 6),
+    slots=st.lists(st.one_of(st.none(), st.integers(-3, 9)), min_size=1, max_size=6),
+    r=st.sampled_from([1, 2, math.inf]),
+)
+def test_replay_equals_iterate_before_and_after_candidates_are_read(mode, conn1, slots, r):
+    p = Profile(len(slots) + 1, Degree(conn1), mode, {d: Degree(v) for d, v in enumerate(slots, 2)})
+    deriv = iterate(p, r, 6)
+    before = replay(deriv)
+    assert before == deriv and hash(before) == hash(deriv)
+    outcomes = [o for step in deriv.steps for record in step.records for o in record.outcomes]
+    unread = [o for step in replay(deriv).steps for record in step.records for o in record.outcomes]
+    for outcome in outcomes:
+        assert list(outcome.candidates)
+    assert before == deriv and hash(before) == hash(deriv)
+    assert replay(deriv) == deriv
+    assert outcomes == unread and [hash(o) for o in outcomes] == [hash(o) for o in unread]
+
+
+def test_candidate_count_needs_no_enumeration(monkeypatch):
+    def refuse(d):
+        raise AssertionError("enumerated the partitions")
+
+    monkeypatch.setattr(rules, "integer_partitions", refuse)
+    out = hbm_cartesian(60, Degree(1), {s: INF for s in range(2, 61)})
+    assert out.result == Degree(1)
+    assert len(out.candidates) == 966467
+    assert out.candidates

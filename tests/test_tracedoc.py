@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import jsonschema
 
@@ -97,6 +98,20 @@ def test_stable_shift_candidates_have_empty_blocks():
 def test_document_dedupes_identical_traces():
     d = demo_derivation()
     assert document([d, d]) == document([d])
+
+
+def test_dedupe_keeps_first_occurrence_order():
+    a = demo_derivation()
+    b = iterate(Profile(3, Degree(1), Mode.COCARTESIAN, {2: INF, 3: INF}), r=2, label="b")
+    c = iterate(Profile(2, Degree(2), Mode.CARTESIAN, {2: Degree(3)}), r=math.inf, label="c")
+    again = demo_derivation()
+    assert again is not a
+    assert document([a, b, again, c, a]) == document([a, b, c])
+    assert document([a, b, c]) != document([b, a, c])
+    assert render_markdown([a, b, again, c, a]) == render_markdown([a, b, c])
+    reordered = replace(b, steps=b.steps[::-1])
+    assert reordered != b and hash(reordered) == hash(b)
+    assert document([b, reordered])["steps"] == document([b])["steps"] + document([reordered])["steps"]
 
 
 def test_render_json_byte_stable():
